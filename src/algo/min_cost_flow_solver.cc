@@ -7,7 +7,6 @@
 #include "algo/conflict_resolution.h"
 #include "flow/graph.h"
 #include "flow/min_cost_flow.h"
-#include "flow/spfa_min_cost_flow.h"
 #include "obs/stats.h"
 #include "util/memory.h"
 #include "util/thread_pool.h"
@@ -92,17 +91,9 @@ Arrangement MinCostFlowSolver::SolveWithoutConflictsOn(
   uint64_t engine_bytes = 0;
   {
     GEACC_PHASE_TIMER("mcf.flow_sweep");
-    if (options_.flow_algorithm == "spfa") {
-      SpfaMinCostFlow spfa(&graph, source, sink);
-      while (spfa.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
-      engine_bytes = spfa.ByteEstimate();
-    } else {
-      GEACC_CHECK_EQ(options_.flow_algorithm, std::string("dijkstra"))
-          << "unknown flow_algorithm";
-      SuccessiveShortestPaths sspa(&graph, source, sink);
-      while (sspa.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
-      engine_bytes = sspa.ByteEstimate();
-    }
+    SuccessiveShortestPaths sspa(&graph, source, sink);
+    while (sspa.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
+    engine_bytes = sspa.ByteEstimate();
   }
 
   // Matching extraction reads the settled flow concurrently; per-chunk

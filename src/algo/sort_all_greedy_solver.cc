@@ -1,31 +1,22 @@
 #include "algo/sort_all_greedy_solver.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "algo/greedy_admission.h"
 #include "obs/stats.h"
 #include "util/memory.h"
 #include "util/timer.h"
 
 namespace geacc {
-namespace {
-
-struct Candidate {
-  double similarity;
-  EventId v;
-  UserId u;
-};
-
-}  // namespace
 
 SolveResult SortAllGreedySolver::Solve(const Instance& instance) const {
   WallTimer timer;
   SolverStats stats;
   const int num_events = instance.num_events();
   const int num_users = instance.num_users();
-  Arrangement matching(num_events, num_users);
 
-  std::vector<Candidate> candidates;
+  std::vector<algo::ScoredPair> candidates;
   candidates.reserve(static_cast<size_t>(num_events) * num_users);
   for (EventId v = 0; v < num_events; ++v) {
     for (UserId u = 0; u < num_users; ++u) {
@@ -33,56 +24,21 @@ SolveResult SortAllGreedySolver::Solve(const Instance& instance) const {
       if (sim > 0.0) candidates.push_back({sim, v, u});
     }
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              if (a.v != b.v) return a.v < b.v;
-              return a.u < b.u;
-            });
+  algo::SortByAdmissionOrder(&candidates);
 
-  std::vector<int> event_capacity(num_events);
-  std::vector<int> user_capacity(num_users);
-  for (EventId v = 0; v < num_events; ++v) {
-    event_capacity[v] = instance.event_capacity(v);
+  algo::GreedyAdmission admission(instance);
+  for (const algo::ScoredPair& candidate : candidates) {
+    admission.TryAdmit(candidate.event, candidate.user, instance.conflicts());
   }
-  for (UserId u = 0; u < num_users; ++u) {
-    user_capacity[u] = instance.user_capacity(u);
-  }
-  const ConflictGraph& conflicts = instance.conflicts();
-  int64_t scanned = 0;
-  int64_t matches = 0;
-  for (const Candidate& candidate : candidates) {
-    ++scanned;
-    if (event_capacity[candidate.v] <= 0 ||
-        user_capacity[candidate.u] <= 0) {
-      continue;
-    }
-    bool conflicting = false;
-    for (const EventId w : matching.EventsOf(candidate.u)) {
-      if (conflicts.AreConflicting(candidate.v, w)) {
-        conflicting = true;
-        break;
-      }
-    }
-    if (conflicting) continue;
-    matching.Add(candidate.v, candidate.u);
-    ++matches;
-    --event_capacity[candidate.v];
-    --user_capacity[candidate.u];
-  }
-  GEACC_STATS_ADD("sortall.pairs_materialized",
-                  static_cast<int64_t>(candidates.size()));
-  GEACC_STATS_ADD("sortall.pairs_scanned", scanned);
-  GEACC_STATS_ADD("sortall.matches", matches);
+  const auto num_candidates = static_cast<int64_t>(candidates.size());
+  GEACC_STATS_ADD("sortall.pairs_materialized", num_candidates);
+  GEACC_STATS_ADD("sortall.pairs_scanned", num_candidates);
+  GEACC_STATS_ADD("sortall.matches", admission.arrangement().size());
 
-  stats.logical_peak_bytes = VectorBytes(candidates) +
-                             VectorBytes(event_capacity) +
-                             VectorBytes(user_capacity) +
-                             matching.ByteEstimate();
+  stats.logical_peak_bytes =
+      VectorBytes(candidates) + admission.ByteEstimate();
   stats.wall_seconds = timer.Seconds();
-  return {std::move(matching), stats};
+  return {admission.TakeArrangement(), stats};
 }
 
 }  // namespace geacc

@@ -2,7 +2,8 @@
 //
 // Materializes every positive-similarity pair, sorts all |V|·|U| of them
 // by (similarity desc, event asc, user asc), and adds each pair in order
-// if it is feasible at that moment. Because feasibility is monotone
+// if it is feasible at that moment — the shared admission kernel of
+// algo/greedy_admission.h. Because feasibility is monotone
 // (capacities only shrink, conflicts only accumulate), this produces the
 // *identical* matching to Algorithm 2's heap construction — it is the
 // specification Greedy-GEACC is tested against — at Θ(|V||U| log(|V||U|))

@@ -1,12 +1,13 @@
-// SPFA-based successive shortest paths — the potential-free alternative.
+// SPFA-based successive shortest paths — the test reference engine.
 //
 // Finds each augmenting path with a queue-based Bellman–Ford (SPFA) over
 // *real* arc costs instead of Dijkstra over reduced costs. Handles
 // negative arc costs natively (residual backward arcs are negative), at a
-// worse asymptotic bound. Kept as a first-class implementation because it
-// is the standard textbook formulation, it cross-checks the potential
-// bookkeeping of SuccessiveShortestPaths in tests, and it is competitive
-// on small dense GEACC networks (quantified in bench/micro_flow).
+// worse asymptotic bound. No solver uses it: MinCostFlow-GEACC runs
+// SuccessiveShortestPaths (flow/min_cost_flow.h). It stays as the
+// textbook formulation that FlowEngineAgreementTest checks the potential
+// bookkeeping of SuccessiveShortestPaths against, path by path. Its
+// flow.spfa.* counters therefore fire only in that test.
 
 #ifndef GEACC_FLOW_SPFA_MIN_COST_FLOW_H_
 #define GEACC_FLOW_SPFA_MIN_COST_FLOW_H_

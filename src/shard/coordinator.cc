@@ -7,6 +7,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include "algo/greedy_admission.h"
 #include "core/arrangement.h"
 #include "io/instance_io.h"
 #include "io/trace_io.h"
@@ -517,12 +518,7 @@ std::string ShardCoordinator::RepairPassLocked() {
 
   // Stream every shard's unfiltered candidate edges, translated into the
   // global user id space.
-  struct GlobalCandidate {
-    double similarity;
-    EventId event;
-    UserId user;  // global
-  };
-  std::vector<GlobalCandidate> candidates;
+  std::vector<algo::ScoredPair> candidates;  // global user ids
   for (int shard = 0; shard < num_shards(); ++shard) {
     const int32_t local_slots = map_.LocalUserCount(shard);
     for (int32_t first = 0; first < local_slots;
@@ -558,19 +554,13 @@ std::string ShardCoordinator::RepairPassLocked() {
     }
   }
 
-  // Global admission — the SortAllGreedySolver loop verbatim, over global
-  // ids and the mirror's capacities and conflict graph. Global user ids
+  // Global admission — the shared greedy admission kernel
+  // (algo/greedy_admission.h) over global ids and the mirror's capacities
+  // and conflict graph, as SortAllGreedySolver runs it. Global user ids
   // equal single-node slot ids and the shard-computed similarities are
   // bit-identical to local recomputation, so this ordering (and hence the
   // admitted set and the running sum) matches the single-node solve.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const GlobalCandidate& a, const GlobalCandidate& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              if (a.event != b.event) return a.event < b.event;
-              return a.user < b.user;
-            });
+  algo::SortByAdmissionOrder(&candidates);
 
   std::vector<int> event_capacity(mirror_.event_slots(), 0);
   std::vector<int> user_capacity(mirror_.user_slots(), 0);
@@ -580,9 +570,9 @@ std::string ShardCoordinator::RepairPassLocked() {
   for (UserId u = 0; u < mirror_.user_slots(); ++u) {
     if (mirror_.user_active(u)) user_capacity[u] = mirror_.user_capacity(u);
   }
-  const ConflictGraph& conflicts = mirror_.conflicts();
+  algo::GreedyAdmission admission(std::move(event_capacity),
+                                  std::move(user_capacity));
 
-  std::vector<std::vector<EventId>> held(mirror_.user_slots());
   std::vector<std::vector<std::pair<int32_t, int32_t>>> installs(num_shards());
   std::vector<double> shard_sums(num_shards(), 0.0);
   std::vector<std::pair<EventId, UserId>> admitted;
@@ -591,32 +581,23 @@ std::string ShardCoordinator::RepairPassLocked() {
   int64_t rejected_conflict = 0;
   int64_t cross_edge = 0;
 
-  for (const GlobalCandidate& candidate : candidates) {
-    if (event_capacity[candidate.event] <= 0 ||
-        user_capacity[candidate.user] <= 0) {
+  for (const algo::ScoredPair& candidate : candidates) {
+    const algo::GreedyAdmission::Outcome outcome = admission.TryAdmit(
+        candidate.event, candidate.user, mirror_.conflicts());
+    if (outcome.verdict == algo::GreedyAdmission::Verdict::kCapacity) {
       ++rejected_capacity;
       continue;
     }
-    EventId blocking = kInvalidEvent;
-    for (const EventId w : held[candidate.user]) {
-      if (conflicts.AreConflicting(candidate.event, w)) {
-        blocking = w;
-        break;
-      }
-    }
-    if (blocking != kInvalidEvent) {
+    if (outcome.verdict == algo::GreedyAdmission::Verdict::kConflict) {
       ++rejected_conflict;
       // Edge-ownership accounting: the lowest endpoint home owns the
       // admit/reject decision; a cross-shard edge doing the rejecting is
       // the case single-shard repair never sees.
-      if (IsCrossShardEdge(candidate.event, blocking, num_shards())) {
+      if (IsCrossShardEdge(candidate.event, outcome.blocking, num_shards())) {
         ++cross_edge;
       }
       continue;
     }
-    held[candidate.user].push_back(candidate.event);
-    --event_capacity[candidate.event];
-    --user_capacity[candidate.user];
     admitted.emplace_back(candidate.event, candidate.user);
     global_sum += candidate.similarity;
     const ShardMap::Placement placement = map_.UserHome(candidate.user);

@@ -24,9 +24,10 @@
 // every shard's unfiltered positive-similarity candidate edges, translates
 // local→global user ids, sorts the union by (similarity desc, event asc,
 // user asc), and admits sequentially against the mirror's global event
-// capacities, user capacities, and conflict graph — exactly the
-// SortAllGreedySolver loop, which is what makes a sharded arrangement
-// bit-identical to the single-node solve of the same instance. Conflict
+// capacities, user capacities, and conflict graph — through the greedy
+// admission kernel SortAllGreedySolver also runs (algo/greedy_admission.h),
+// which is what makes a sharded arrangement bit-identical to the
+// single-node solve of the same instance. Conflict
 // rejections across a cross-shard edge are charged to the edge's owner
 // (lowest-endpoint-home) shard. The admitted per-shard slices are pushed
 // back via InstallArrangement (piggybacked on the shards' snapshot

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "algo/bounds.h"
+#include "algo/greedy_admission.h"
 #include "algo/min_cost_flow_solver.h"
 #include "algo/prune_solver.h"
 #include "core/instance.h"
@@ -20,12 +21,6 @@
 namespace geacc {
 namespace slot {
 namespace {
-
-// Bound slack for the branch-and-bound incumbent comparison — the shared
-// bound-vs-incumbent contract of algo/bounds.h: prune only when the
-// admissible bound falls more than this below the incumbent, while the
-// incumbent itself updates with strict `>`.
-constexpr double kBoundEps = algo::kBoundEps;
 
 // Ascending slot ids set in `mask`.
 std::vector<SlotId> SlotsOf(uint32_t mask) {
@@ -64,7 +59,8 @@ class SlotGreedySolver final : public SlotSolver {
     const int num_users = base.num_users();
 
     // Every admissible (slot, event, user) triple with positive
-    // similarity: slot allowed for the event and available to the user.
+    // similarity: slot allowed for the event and available to the user,
+    // listed slot-ascending per pair.
     struct Candidate {
       double similarity;
       EventId event;
@@ -83,65 +79,40 @@ class SlotGreedySolver final : public SlotSolver {
         }
       }
     }
-    // SortAllGreedy's admission order, extended by the slot as the final
-    // tie-break: an event's slot is fixed by its best admissible pair.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.similarity != b.similarity)
-                  return a.similarity > b.similarity;
-                if (a.event != b.event) return a.event < b.event;
-                if (a.user != b.user) return a.user < b.user;
-                return a.time_slot < b.time_slot;
-              });
+    // Admission order; the sort is stable, so ties on (similarity, event,
+    // user) break by slot. An event's slot is fixed by its best admissible
+    // pair.
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return algo::AdmittedBefore(a, b);
+                     });
 
     SlotSolveResult result;
     result.slotting.assign(num_events, kInvalidSlot);
-    result.arrangement = Arrangement(num_events, num_users);
     result.slottings_considered = 1;
 
-    std::vector<int> event_remaining(num_events);
-    for (EventId v = 0; v < num_events; ++v) {
-      event_remaining[v] = base.event_capacity(v);
-    }
-    std::vector<int> user_remaining(num_users);
-    for (UserId u = 0; u < num_users; ++u) {
-      user_remaining[u] = base.user_capacity(u);
-    }
-
+    algo::GreedyAdmission admission(base);
     for (const Candidate& c : candidates) {
       const SlotId fixed = result.slotting[c.event];
       if (fixed != kInvalidSlot && fixed != c.time_slot) continue;
-      if (event_remaining[c.event] <= 0 || user_remaining[c.user] <= 0) {
-        continue;
+      if (admission.arrangement().Contains(c.event, c.user)) continue;
+      // Admitted events are always scheduled, so slotting[w] is valid.
+      const auto conflicting = [&](EventId, EventId w) {
+        return slotted.slots.Conflicting(result.slotting[w], c.time_slot);
+      };
+      if (admission.TryAdmit(c.event, c.user, conflicting).verdict ==
+          algo::GreedyAdmission::Verdict::kAdmitted) {
+        result.slotting[c.event] = c.time_slot;
       }
-      if (result.arrangement.Contains(c.event, c.user)) continue;
-      bool conflicts = false;
-      for (const EventId w : result.arrangement.EventsOf(c.user)) {
-        // Matched events are always scheduled, so slotting[w] is valid.
-        if (slotted.slots.Conflicting(result.slotting[w], c.time_slot)) {
-          conflicts = true;
-          break;
-        }
-      }
-      if (conflicts) continue;
-      result.slotting[c.event] = c.time_slot;
-      result.arrangement.Add(c.event, c.user);
-      --event_remaining[c.event];
-      --user_remaining[c.user];
     }
 
+    result.stats.logical_peak_bytes = VectorBytes(candidates) +
+                                      VectorBytes(result.slotting) +
+                                      admission.ByteEstimate();
+    result.arrangement = admission.TakeArrangement();
     // Recompute the sum in the shared deterministic order rather than in
     // admission order (floating-point addition is order-sensitive).
-    double sum = 0.0;
-    for (const auto& [v, u] : result.arrangement.SortedPairs()) {
-      sum += base.Similarity(v, u);
-    }
-    result.max_sum = sum;
-
-    result.stats.logical_peak_bytes =
-        VectorBytes(candidates) + VectorBytes(result.slotting) +
-        VectorBytes(event_remaining) + VectorBytes(user_remaining) +
-        result.arrangement.ByteEstimate();
+    result.max_sum = LeafMaxSum(result.arrangement, base);
     result.stats.wall_seconds = timer.Seconds();
     return result;
   }
@@ -508,7 +479,7 @@ class SlotExactSolver final : public SlotSolver {
         child_bound = std::min(
             child_bound, child_assigned + (*ctx.suffix_tight)[v + 1]);
       }
-      if (child_bound + kBoundEps < ctx.best_sum) {
+      if (child_bound + algo::kBoundEps < ctx.best_sum) {
         // Every leaf below scores ≤ child_bound < the incumbent; skip the
         // subtree but account its slottings (saturating).
         const int64_t below = ctx.suffix_count[v + 1];
@@ -519,7 +490,7 @@ class SlotExactSolver final : public SlotSolver {
                 : considered + below;
         ++ctx.result.stats.prune_events;
         if (child_bound != plain_bound &&
-            !(plain_bound + kBoundEps < ctx.best_sum)) {
+            !(plain_bound + algo::kBoundEps < ctx.best_sum)) {
           ++ctx.result.stats.bound_clique_cuts;
         }
         continue;

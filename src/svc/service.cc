@@ -1,8 +1,10 @@
 #include "svc/service.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "core/similarity.h"
@@ -447,12 +449,19 @@ void ArrangementService::ApplyBatch(std::vector<PendingMutation> batch) {
       }
       arranger_->Apply(pending.mutation);
       if (wal_.is_open()) {
-        wal_.Append(pending.mutation);
+        GEACC_CHECK(wal_.Append(pending.mutation))
+            << "wal append to '" << options_.wal_path
+            << "' failed: " << std::strerror(errno);
         ++wal_mutations_;
       }
       GEACC_STATS_ADD("svc.mutations_applied", 1);
     }
-    if (wal_.is_open()) wal_.Sync();
+    // A batch the WAL did not take must never be published as applied: a
+    // client that saw its ticket applied would lose the write on restart.
+    if (wal_.is_open()) {
+      GEACC_CHECK(wal_.Sync()) << "wal sync to '" << options_.wal_path
+                               << "' failed: " << std::strerror(errno);
+    }
   }
 
   std::shared_ptr<const ServiceSnapshot> next;
@@ -538,14 +547,6 @@ ServiceStatsView ArrangementService::Stats() const {
     view.overloads = overloads_;
   }
   return view;
-}
-
-bool ArrangementService::Checkpoint(const std::string& path,
-                                    std::string* error) const {
-  const std::shared_ptr<const ServiceSnapshot> snap = snapshot();
-  const Instance dense = snap->ToDenseInstance();
-  const Arrangement arrangement = snap->ToDenseArrangement();
-  return WriteCheckpoint(dense, arrangement, path, error);
 }
 
 }  // namespace geacc::svc

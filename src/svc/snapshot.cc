@@ -66,77 +66,6 @@ std::vector<ScoredCandidate> ServiceSnapshot::Candidates(
   return edges;
 }
 
-Instance ServiceSnapshot::ToDenseInstance(
-    std::vector<EventId>* dense_to_event,
-    std::vector<UserId>* dense_to_user) const {
-  std::vector<EventId> event_map;
-  std::vector<UserId> user_map;
-  std::vector<int> event_to_dense(event_slots(), -1);
-  std::vector<int> user_to_dense(user_slots(), -1);
-
-  AttributeMatrix events(num_active_events_, dim_);
-  std::vector<int> event_capacities;
-  event_capacities.reserve(static_cast<size_t>(num_active_events_));
-  for (EventId v = 0; v < event_slots(); ++v) {
-    if (!event_active_[v]) continue;
-    const int dense = static_cast<int>(event_map.size());
-    event_to_dense[v] = dense;
-    event_map.push_back(v);
-    const double* row = event_attributes_.Row(v);
-    for (int j = 0; j < dim_; ++j) events.Set(dense, j, row[j]);
-    event_capacities.push_back(event_capacities_[v]);
-  }
-
-  AttributeMatrix users(num_active_users_, dim_);
-  std::vector<int> user_capacities;
-  user_capacities.reserve(static_cast<size_t>(num_active_users_));
-  for (UserId u = 0; u < user_slots(); ++u) {
-    if (!user_active_[u]) continue;
-    const int dense = static_cast<int>(user_map.size());
-    user_to_dense[u] = dense;
-    user_map.push_back(u);
-    const double* row = user_attributes_.Row(u);
-    for (int j = 0; j < dim_; ++j) users.Set(dense, j, row[j]);
-    user_capacities.push_back(user_capacities_[u]);
-  }
-
-  ConflictGraph conflicts(num_active_events_);
-  for (EventId v = 0; v < event_slots(); ++v) {
-    if (!event_active_[v]) continue;
-    for (const EventId w : conflicts_.ConflictsOf(v)) {
-      if (w > v && event_active_[w]) {
-        conflicts.AddConflict(event_to_dense[v], event_to_dense[w]);
-      }
-    }
-  }
-
-  if (dense_to_event != nullptr) *dense_to_event = event_map;
-  if (dense_to_user != nullptr) *dense_to_user = user_map;
-  return Instance(std::move(events), std::move(event_capacities),
-                  std::move(users), std::move(user_capacities),
-                  std::move(conflicts), similarity_->Clone());
-}
-
-Arrangement ServiceSnapshot::ToDenseArrangement() const {
-  std::vector<int> event_to_dense(event_slots(), -1);
-  std::vector<int> user_to_dense(user_slots(), -1);
-  int next_event = 0;
-  for (EventId v = 0; v < event_slots(); ++v) {
-    if (event_active_[v]) event_to_dense[v] = next_event++;
-  }
-  int next_user = 0;
-  for (UserId u = 0; u < user_slots(); ++u) {
-    if (user_active_[u]) user_to_dense[u] = next_user++;
-  }
-  Arrangement arrangement(next_event, next_user);
-  for (UserId u = 0; u < user_slots(); ++u) {
-    for (const EventId v : user_events_[u]) {
-      arrangement.Add(event_to_dense[v], user_to_dense[u]);
-    }
-  }
-  return arrangement;
-}
-
 std::shared_ptr<const ServiceSnapshot> BuildSnapshot(
     const DynamicInstance& instance, const IncrementalArranger& arranger,
     int64_t applied_seq) {

@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/arrangement.h"
 #include "core/attributes.h"
 #include "core/conflict_graph.h"
 #include "core/instance.h"
@@ -124,14 +123,6 @@ class ServiceSnapshot {
   // stay in the stream. The range is clamped to the slot space.
   std::vector<ScoredCandidate> Candidates(UserId first_user,
                                           int user_count) const;
-
-  // Compacts the snapshot into a dense immutable Instance + Arrangement
-  // over the active entities (checkpoint/export path). Dense ids are
-  // assigned in ascending slot order; `dense_to_event`/`dense_to_user`
-  // record the mapping when non-null.
-  Instance ToDenseInstance(std::vector<EventId>* dense_to_event = nullptr,
-                           std::vector<UserId>* dense_to_user = nullptr) const;
-  Arrangement ToDenseArrangement() const;
 
  private:
   friend std::shared_ptr<const ServiceSnapshot> BuildSnapshot(

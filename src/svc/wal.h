@@ -1,5 +1,5 @@
-// Durability for the arrangement service: a write-ahead mutation log and
-// dense state checkpoints (DESIGN.md §11).
+// Durability for the arrangement service: the write-ahead mutation log
+// (DESIGN.md §11). Checkpoints are paged (svc/paged_checkpoint.h).
 //
 // The WAL is the service's replayable history: a header naming the format,
 // the epoch-0 instance (instance_io block), a `wal-mutations` sentinel,
@@ -18,13 +18,10 @@
 //
 // Crash discipline: a torn final line (the process died mid-append) is
 // detected and dropped during recovery; any earlier malformed line is a
-// hard error. Checkpoints are separate, colder artifacts: a compacted
-// dense instance + arrangement written through src/io for export,
-// inspection, or warm-starting a new service (dense ids — slot identity
-// is intentionally not preserved; the WAL is the recovery path).
+// hard error.
 //
 // Thread-safety: WalWriter is single-writer (the service writer thread);
-// ReadWal/checkpoint functions touch only their arguments.
+// ReadWal touches only its arguments.
 
 #ifndef GEACC_SVC_WAL_H_
 #define GEACC_SVC_WAL_H_
@@ -34,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "core/arrangement.h"
 #include "core/instance.h"
 #include "dyn/mutation.h"
 
@@ -77,19 +73,6 @@ struct WalContents {
 // that is not the final line of the file.
 std::optional<WalContents> ReadWal(const std::string& path,
                                    std::string* error = nullptr);
-
-// Writes `instance` + `arrangement` as one checkpoint file (instance_io
-// blocks back to back).
-bool WriteCheckpoint(const Instance& instance, const Arrangement& arrangement,
-                     const std::string& path, std::string* error = nullptr);
-
-// Loads a checkpoint written by WriteCheckpoint.
-struct Checkpoint {
-  Instance instance;
-  Arrangement arrangement;
-};
-std::optional<Checkpoint> ReadCheckpoint(const std::string& path,
-                                         std::string* error = nullptr);
 
 }  // namespace geacc::svc
 

@@ -1,6 +1,6 @@
-// Cross-checks between the two min-cost-flow engines (Dijkstra+potentials
-// vs SPFA) and tests of the MinCostFlow-GEACC options that select between
-// them and between greedy/exact conflict resolution.
+// Cross-checks of the solver's min-cost-flow engine (Dijkstra over reduced
+// costs + potentials) against the SPFA reference engine, and tests of
+// MinCostFlow-GEACC's greedy/exact conflict resolution.
 
 #include <gtest/gtest.h>
 
@@ -89,30 +89,6 @@ TEST(SpfaMinCostFlow, HandlesNegativeCostsWithoutBootstrap) {
   SpfaMinCostFlow spfa(&graph, 0, 3);
   EXPECT_EQ(spfa.RunToMaxFlow(), 2);
   EXPECT_DOUBLE_EQ(spfa.total_cost(), -0.5);
-}
-
-TEST(MinCostFlowSolver, SpfaEngineGivesSameMaxSum) {
-  for (uint64_t seed = 0; seed < 8; ++seed) {
-    const Instance instance = SmallRandomInstance(5, 12, 0.3, 3, seed);
-    SolverOptions dijkstra_options, spfa_options;
-    spfa_options.flow_algorithm = "spfa";
-    const double a = MinCostFlowSolver(dijkstra_options)
-                         .Solve(instance)
-                         .arrangement.MaxSum(instance);
-    const SolveResult spfa_result =
-        MinCostFlowSolver(spfa_options).Solve(instance);
-    EXPECT_EQ(spfa_result.arrangement.Validate(instance), "");
-    EXPECT_NEAR(a, spfa_result.arrangement.MaxSum(instance), 1e-9)
-        << "seed " << seed;
-  }
-}
-
-TEST(MinCostFlowSolverDeathTest, RejectsUnknownFlowAlgorithm) {
-  SolverOptions options;
-  options.flow_algorithm = "bogus";
-  const MinCostFlowSolver solver(options);
-  const Instance instance = SmallRandomInstance(2, 3, 0.0, 1, 1);
-  EXPECT_DEATH(solver.Solve(instance), "unknown flow_algorithm");
 }
 
 // ------------------------------------------ exact conflict resolution ----

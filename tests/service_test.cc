@@ -5,12 +5,18 @@
 // queueing unboundedly, and crash recovery replays to the same state —
 // torn tail included.
 
+#include <sys/resource.h>
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -393,25 +399,35 @@ TEST(ArrangementService, RecoverDropsTornFinalLine) {
   std::remove(wal_path.c_str());
 }
 
-TEST(ArrangementService, CheckpointRoundTrips) {
-  const std::string path = TempPath("svc_checkpoint.dat");
-  ArrangementService service(SmallInstance(29), {});
-  const SubmitResult r = service.Submit(Mutation::RemoveUser(5));
-  ASSERT_EQ(service.WaitForTicket(r.ticket), SvcStatus::kOk);
+// A WAL write that fails (ENOSPC, EIO; here EFBIG from a file-size limit
+// on the death-test child) must stop the writer before the batch's
+// snapshot and applied_seq are published.
+TEST(ArrangementServiceDeathTest, WalWriteFailureStopsTheWriter) {
+  const std::string wal_path = TempPath("svc_wal_write_fails.wal");
+  EXPECT_DEATH(
+      {
+        ServiceOptions options;
+        options.wal_path = wal_path;
+        ArrangementService service(SmallInstance(31), options);
+        // Cap this process's files at the WAL's current size: the next
+        // WAL write fails with EFBIG (SIGXFSZ ignored, so no signal).
+        std::signal(SIGXFSZ, SIG_IGN);
+        struct stat wal_stat {};
+        if (stat(wal_path.c_str(), &wal_stat) != 0) std::exit(1);
+        rlimit limit{};
+        if (getrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(1);
+        limit.rlim_cur = static_cast<rlim_t>(wal_stat.st_size);
+        if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::exit(1);
 
-  std::string error;
-  ASSERT_TRUE(service.Checkpoint(path, &error)) << error;
-  std::optional<Checkpoint> checkpoint = ReadCheckpoint(path, &error);
-  ASSERT_TRUE(checkpoint.has_value()) << error;
-
-  const auto snapshot = service.snapshot();
-  EXPECT_EQ(checkpoint->instance.num_events(), snapshot->num_active_events());
-  EXPECT_EQ(checkpoint->instance.num_users(), snapshot->num_active_users());
-  EXPECT_EQ(checkpoint->arrangement.size(), snapshot->num_pairs());
-  EXPECT_EQ(checkpoint->arrangement.Validate(checkpoint->instance), "");
-  EXPECT_NEAR(checkpoint->arrangement.MaxSum(checkpoint->instance),
-              snapshot->max_sum(), 1e-9);
-  std::remove(path.c_str());
+        const SubmitResult r = service.Submit(Mutation::RemoveUser(5));
+        if (r.status != SvcStatus::kOk) std::exit(1);
+        // Reaching here means the ticket was published despite the
+        // failed write; exiting normally fails the death test.
+        service.WaitForTicket(r.ticket);
+        std::exit(0);
+      },
+      "wal sync to '.*svc_wal_write_fails.wal' failed: File too large");
+  std::remove(wal_path.c_str());
 }
 
 TEST(WalReader, RejectsCorruptionThatIsNotATornTail) {

@@ -18,6 +18,7 @@
 #include "simd/kernels.h"
 #include "simd/simd.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace geacc {
 namespace {
@@ -179,9 +180,7 @@ TEST(BatchKernels, StrictBitIdenticalAcrossShapes) {
       AttributeMatrix m = RandomMatrix(rows, dim, rng);
       std::vector<double> query(static_cast<size_t>(dim));
       for (double& q : query) q = rng.UniformReal(0.0, 100.0);
-      CheckStrictIdentity(m, query,
-                          "d" + std::to_string(dim) + "xn" +
-                              std::to_string(rows));
+      CheckStrictIdentity(m, query, StrFormat("d%dxn%d", dim, rows));
     }
   }
 }

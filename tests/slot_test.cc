@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -248,6 +250,62 @@ TEST(SlotSolvers, DeterministicAcrossRuns) {
     EXPECT_EQ(a.arrangement.SortedPairs(), b.arrangement.SortedPairs()) << name;
     EXPECT_EQ(a.max_sum, b.max_sum) << name;
     EXPECT_EQ(a.slottings_considered, b.slottings_considered) << name;
+  }
+}
+
+// FNV-1a over slot-greedy's complete output: the slotting, the sorted
+// pairs and the bits of the MaxSum.
+uint64_t SlotGreedyFingerprint(const slot::SlotSolveResult& result) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&hash](int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  for (const SlotId s : result.slotting) mix(s);
+  for (const auto& [v, u] : result.arrangement.SortedPairs()) {
+    mix(v);
+    mix(u);
+  }
+  int64_t sum_bits = 0;
+  std::memcpy(&sum_bits, &result.max_sum, sizeof(sum_bits));
+  mix(sum_bits);
+  return hash;
+}
+
+// Pins slot-greedy's arrangement bit for bit on seeded instances, so a
+// rewrite of its admission loop cannot change a single pair or slot.
+TEST(SlotSolvers, GreedyOutputIsPinned) {
+  struct Case {
+    uint64_t seed;
+    int num_events;
+    int num_users;
+    int num_slots;
+    uint64_t fingerprint;
+  };
+  const Case cases[] = {
+      {1, 5, 12, 3, 9168057460203844757ull},
+      {2, 5, 12, 3, 10504010320458136854ull},
+      {3, 8, 30, 4, 6775030084537525686ull},
+      {4, 8, 30, 4, 15117953306675308365ull},
+      {5, 20, 100, 6, 3667159249452885706ull},
+      {6, 20, 100, 6, 11981266385730334238ull},
+      {7, 30, 200, 8, 9942213948360194618ull},
+      {8, 30, 200, 8, 10469521557880654319ull},
+  };
+  const auto greedy = slot::CreateSlotSolver("slot-greedy");
+  for (const Case& c : cases) {
+    slot::SlottedGenConfig config = SmallGenConfig(c.seed);
+    config.num_events = c.num_events;
+    config.num_users = c.num_users;
+    config.num_slots = c.num_slots;
+    config.availability_count =
+        DistributionSpec::Uniform(1.0, static_cast<double>(c.num_slots));
+    const slot::SlotSolveResult result =
+        greedy->Solve(slot::GenerateSlotted(config));
+    EXPECT_EQ(SlotGreedyFingerprint(result), c.fingerprint)
+        << "seed " << c.seed << " pairs " << result.arrangement.size();
   }
 }
 

@@ -36,21 +36,11 @@ TEST(SolverRegistry, UnknownIndexOptionDies) {
   EXPECT_DEATH(CreateSolver("greedy", options), "unknown index 'btree'");
 }
 
-TEST(SolverRegistry, UnknownFlowAlgorithmOptionDies) {
-  SolverOptions options;
-  options.flow_algorithm = "simplex";
-  EXPECT_DEATH(CreateSolver("mincostflow", options),
-               "unknown flow_algorithm 'simplex'");
-}
-
 TEST(SolverRegistry, ValidateSolverOptionsAcceptsAllKnownValues) {
   for (const char* index : {"linear", "kdtree", "vafile", "idistance"}) {
-    for (const char* flow : {"dijkstra", "spfa"}) {
-      SolverOptions options;
-      options.index = index;
-      options.flow_algorithm = flow;
-      EXPECT_EQ(ValidateSolverOptions(options), "") << index << "/" << flow;
-    }
+    SolverOptions options;
+    options.index = index;
+    EXPECT_EQ(ValidateSolverOptions(options), "") << index;
   }
 }
 
