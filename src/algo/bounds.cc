@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
+#include <utility>
 
-#include "flow/graph.h"
-#include "flow/min_cost_flow.h"
+#include "flow/bipartite_ssp.h"
 #include "util/check.h"
 
 namespace geacc {
 namespace algo {
 namespace {
+
+constexpr double kNoArc = std::numeric_limits<double>::infinity();
 
 // Sum of the `take` largest entries of `values` (all entries ≥ 0).
 // `values` is scratch and may be reordered.
@@ -86,32 +89,29 @@ double BMatchingBound(const BoundInputs& in, int suffix_start) {
       << "the LP bound needs user capacities";
   const int num_suffix = in.num_events - suffix_start;
   if (num_suffix <= 0 || in.num_users == 0) return 0.0;
-  // source → event (c_v) → user (1 per pair, cost -sim) → sink (c_u).
-  const int source = 0;
-  const int first_event = 1;
-  const int first_user = first_event + num_suffix;
-  const int sink = first_user + in.num_users;
-  FlowGraph graph(sink + 1);
+  // source → event (c_v) → user (1 per pair with sim > 0, cost −sim) →
+  // sink (c_u); a pair without an arc costs +inf.
+  const int num_users = in.num_users;
+  std::vector<double> costs(static_cast<size_t>(num_suffix) * num_users);
+  std::vector<int> event_capacity(num_suffix);
   for (int i = 0; i < num_suffix; ++i) {
     const EventId v = in.order[suffix_start + i];
-    graph.AddArc(source, first_event + i, in.event_capacity[v], 0.0);
-    const double* row = in.sim + static_cast<size_t>(v) * in.num_users;
-    for (UserId u = 0; u < in.num_users; ++u) {
-      if (row[u] > 0.0) {
-        graph.AddArc(first_event + i, first_user + u, 1, -row[u]);
-      }
+    event_capacity[i] = in.event_capacity[v];
+    const double* row = in.sim + static_cast<size_t>(v) * num_users;
+    double* out = &costs[static_cast<size_t>(i) * num_users];
+    for (UserId u = 0; u < num_users; ++u) {
+      out[u] = row[u] > 0.0 ? -row[u] : kNoArc;
     }
-  }
-  for (UserId u = 0; u < in.num_users; ++u) {
-    graph.AddArc(first_user + u, sink, in.user_capacity[u], 0.0);
   }
   // Successive cheapest augmentations while profitable: path costs are
   // non-decreasing, so the first non-negative path ends the sweep at the
   // max-weight b-matching (= the LP optimum; the polytope is integral).
-  SuccessiveShortestPaths ssp(&graph, source, sink);
-  while (ssp.AugmentIfCheaper(0.0) > 0) {
+  BipartiteSsp flow(std::move(costs), event_capacity,
+                    std::vector<int>(in.user_capacity,
+                                     in.user_capacity + num_users));
+  while (flow.AugmentIfCheaper(0.0) > 0) {
   }
-  return -ssp.total_cost();
+  return -flow.total_cost();
 }
 
 std::vector<double> ComputeSuffixBounds(const BoundInputs& in, BoundMode mode,

@@ -5,10 +5,8 @@
 #include <vector>
 
 #include "algo/conflict_resolution.h"
-#include "flow/graph.h"
-#include "flow/min_cost_flow.h"
+#include "flow/bipartite_ssp.h"
 #include "obs/stats.h"
-#include "util/memory.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -35,20 +33,12 @@ Arrangement MinCostFlowSolver::SolveWithoutConflictsOn(
   Arrangement matching(num_events, num_users);
   if (num_events == 0 || num_users == 0) return matching;
 
-  // Node layout: 0 = source, 1..|V| = events, |V|+1..|V|+|U| = users,
-  // |V|+|U|+1 = sink.
-  const int source = 0;
-  const int sink = num_events + num_users + 1;
-  FlowGraph graph(num_events + num_users + 2);
-  for (EventId v = 0; v < num_events; ++v) {
-    graph.AddArc(source, 1 + v, instance.event_capacity(v), 0.0);
-  }
   // Pair-cost precompute fans out over events (each chunk owns a disjoint
-  // row slice); AddArc mutates the shared graph, so arc construction stays
-  // serial and just reads the precomputed costs in row-major order. Each
-  // row is one batched-kernel call (this is the fp_mode="fast" opt-in
-  // site — DESIGN.md §15.3); the mirror is forced warm before the fan-out
-  // so workers never contend on its build lock.
+  // row slice). Each row is one batched-kernel call (this is the
+  // fp_mode="fast" opt-in site — DESIGN.md §15.3); the mirror is forced
+  // warm before the fan-out so workers never contend on its build lock.
+  // The paper includes arcs even for sim = 0 pairs (they may carry flow;
+  // such pairs are simply excluded from the extracted matching).
   std::vector<double> pair_costs(static_cast<size_t>(num_events) * num_users);
   {
     GEACC_PHASE_TIMER("mcf.pair_costs");
@@ -66,20 +56,8 @@ Arrangement MinCostFlowSolver::SolveWithoutConflictsOn(
       }
     });
   }
-  // Row-major (v, u) arc ids for matching extraction. The paper includes
-  // arcs even for sim = 0 pairs (they may carry flow; such pairs are simply
-  // excluded from the extracted matching).
-  std::vector<int> pair_arcs(static_cast<size_t>(num_events) * num_users);
-  for (EventId v = 0; v < num_events; ++v) {
-    for (UserId u = 0; u < num_users; ++u) {
-      pair_arcs[static_cast<size_t>(v) * num_users + u] = graph.AddArc(
-          1 + v, 1 + num_events + u, 1,
-          pair_costs[static_cast<size_t>(v) * num_users + u]);
-    }
-  }
-  for (UserId u = 0; u < num_users; ++u) {
-    graph.AddArc(1 + num_events + u, sink, instance.user_capacity(u), 0.0);
-  }
+  BipartiteSsp flow(std::move(pair_costs), instance.event_capacities(),
+                    instance.user_capacities());
 
   // Unit-by-unit sweep over Δ = 1..Δmax, equivalent to Algorithm 1's loop:
   // after k augmentations the residual flow is the min-cost flow of amount
@@ -88,12 +66,9 @@ Arrangement MinCostFlowSolver::SolveWithoutConflictsOn(
   // at the Δ with maximum MaxSum. Sequential by construction — the flow at
   // Δ+1 extends the flow at Δ (see the header for why per-Δ fan-out loses).
   int64_t best_delta = 0;
-  uint64_t engine_bytes = 0;
   {
     GEACC_PHASE_TIMER("mcf.flow_sweep");
-    SuccessiveShortestPaths sspa(&graph, source, sink);
-    while (sspa.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
-    engine_bytes = sspa.ByteEstimate();
+    while (flow.AugmentIfCheaper(kUnitCostStop) == 1) ++best_delta;
   }
 
   // Matching extraction reads the settled flow concurrently; per-chunk
@@ -109,8 +84,7 @@ Arrangement MinCostFlowSolver::SolveWithoutConflictsOn(
           for (EventId v = static_cast<EventId>(chunk_begin);
                v < static_cast<EventId>(chunk_end); ++v) {
             for (UserId u = 0; u < num_users; ++u) {
-              const int arc = pair_arcs[static_cast<size_t>(v) * num_users + u];
-              if (graph.Flow(arc) == 1 && instance.Similarity(v, u) > 0.0) {
+              if (flow.CarriesFlow(v, u) && instance.Similarity(v, u) > 0.0) {
                 matched.emplace_back(v, u);
               }
             }
@@ -125,9 +99,7 @@ Arrangement MinCostFlowSolver::SolveWithoutConflictsOn(
     // +1 for the final (rejected) path search that ended the sweep.
     stats->flow_augmentations += best_delta + 1;
     stats->best_delta = best_delta;
-    stats->logical_peak_bytes += graph.ByteEstimate() + engine_bytes +
-                                 VectorBytes(pair_arcs) +
-                                 VectorBytes(pair_costs);
+    stats->logical_peak_bytes += flow.ByteEstimate();
   }
   GEACC_STATS_ADD("mcf.flow_sweeps", 1);
   GEACC_STATS_ADD("mcf.best_delta", best_delta);

@@ -14,9 +14,11 @@
 // user with the greedy independent-set rule.
 //
 // Approximation ratio: 1 / max c_u (Theorem 2). Complexity is dominated by
-// Δmax = min{Σc_v, Σc_u} shortest-path computations over a graph with
-// O(|V|·|U|) edges (the paper's "quartic" cost); memory is O(|V|·|U|)
-// for the residual network.
+// Δmax = min{Σc_v, Σc_u} shortest-path computations over O(|V|·|U|) pair
+// arcs (the paper's "quartic" cost); each runs on flow/bipartite_ssp.h in
+// O(|V|·|U| + (|V|+|U|)²/32) time. Memory is the dense |V|×|U| pair-cost
+// array (8 bytes per pair, which the engine takes over as its residual
+// network) plus O(|V| + |U| + Δ) engine state.
 //
 // Thread-safety: Solve() is const and re-entrant; the flow network is
 // rebuilt per call. Counters reported: mcf.flow_sweeps, mcf.best_delta,

@@ -46,6 +46,8 @@ class Instance {
     GEACC_DCHECK(u >= 0 && u < num_users());
     return user_capacities_[u];
   }
+  const std::vector<int>& event_capacities() const { return event_capacities_; }
+  const std::vector<int>& user_capacities() const { return user_capacities_; }
 
   // Largest user capacity (the α in the approximation ratios); 0 if |U|=0.
   int max_user_capacity() const { return max_user_capacity_; }

@@ -1,7 +1,5 @@
 #include "flow/graph.h"
 
-#include "util/memory.h"
-
 namespace geacc {
 
 FlowGraph::FlowGraph(int num_nodes) {
@@ -24,13 +22,6 @@ int FlowGraph::AddArc(int from, int to, int64_t capacity, double cost) {
   adjacency_[to].push_back(forward + 1);
   if (cost < 0.0) has_negative_cost_ = true;
   return forward;
-}
-
-uint64_t FlowGraph::ByteEstimate() const {
-  uint64_t bytes = VectorBytes(heads_) + VectorBytes(costs_) +
-                   VectorBytes(residual_);
-  for (const auto& list : adjacency_) bytes += VectorBytes(list);
-  return bytes;
 }
 
 }  // namespace geacc

@@ -55,8 +55,6 @@ class FlowGraph {
   // bootstrap for its potentials).
   bool HasNegativeCost() const { return has_negative_cost_; }
 
-  uint64_t ByteEstimate() const;
-
  private:
   std::vector<std::vector<int>> adjacency_;
   std::vector<int> heads_;

@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "obs/stats.h"
-#include "util/memory.h"
 
 namespace geacc {
 namespace {
@@ -160,12 +159,6 @@ int64_t SuccessiveShortestPaths::RunToMaxFlow() {
     if (step == 0) return pushed;
     pushed += step;
   }
-}
-
-uint64_t SuccessiveShortestPaths::ByteEstimate() const {
-  return VectorBytes(potential_) + VectorBytes(distance_) +
-         VectorBytes(parent_arc_) +
-         settled_.capacity() / 8;  // vector<bool> is bit-packed
 }
 
 }  // namespace geacc

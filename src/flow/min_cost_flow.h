@@ -1,4 +1,9 @@
-// Successive Shortest Path min-cost flow (SSPA).
+// Successive Shortest Path min-cost flow (SSPA) on a generic FlowGraph —
+// the test reference. No solver runs it: MinCostFlow-GEACC and the
+// clique-lp bound run BipartiteSsp (flow/bipartite_ssp.h), which must
+// reproduce this engine's search step for step (FlowEngineAgreementTest).
+// This one stays as the readable textbook form, checked itself against
+// an independent Bellman–Ford reference (SspaPropertyTest).
 //
 // The paper's MinCostFlow-GEACC (Algorithm 1) needs the min-cost flow of
 // *every* amount Δ = 1..Δmax. SSPA delivers exactly that: after the k-th
@@ -7,9 +12,9 @@
 // incremental run yields all Δ without re-solving.
 //
 // Shortest paths use Dijkstra with Johnson potentials. Networks with
-// negative arc costs are bootstrapped with one Bellman–Ford pass; the GEACC
-// reduction has costs 1 - sim ∈ [0, 1], so the bootstrap is normally
-// skipped.
+// negative arc costs are bootstrapped with one Bellman–Ford pass: the
+// GEACC reduction's costs 1 − sim ∈ [0, 1] skip it, the clique-lp bound's
+// costs −sim need it.
 
 #ifndef GEACC_FLOW_MIN_COST_FLOW_H_
 #define GEACC_FLOW_MIN_COST_FLOW_H_
@@ -45,8 +50,7 @@ class SuccessiveShortestPaths {
 
   int64_t total_flow() const { return total_flow_; }
   double total_cost() const { return total_cost_; }
-
-  uint64_t ByteEstimate() const;
+  double potential(int node) const { return potential_[node]; }
 
  private:
   // Cheapest-path search over reduced costs; fills parent_arc_ and updates

@@ -166,6 +166,30 @@ void BatchVaLowerBound(Level level, const double* cell_table, int cells,
                        double* out);
 
 // ---------------------------------------------------------------------------
+// Row relax of the bipartite min-cost-flow engine (flow/bipartite_ssp.h):
+// one settled event's scan of its |U| pair arcs. For i ∈ [0, n):
+//
+//     reduced = (cost[i] + tail_potential) − head_potential[i]
+//     if (reduced < 0.0) reduced = 0.0
+//     candidate = tail_distance + reduced
+//     if (candidate + 1e-9 < distance[i]):
+//         distance[i] = key[i] = candidate, parent[i] = tail
+//         block_min[i / kRelaxBlock] = min(that, candidate)
+//
+// and returns the number of heads relaxed. `block_min` holds the minimum
+// key of each run of kRelaxBlock elements counted from the row start (the
+// engine's frontier blocks). Every level performs exactly
+// these IEEE operations per element (no FMA, no reassociation; the AVX2
+// clamp is max(0, reduced), which keeps −0.0 and NaN as the branch does),
+// so all levels write bit-identical results. O(n); unaligned pointers OK.
+inline constexpr int kRelaxBlock = 32;
+using RelaxRowFn = int64_t (*)(const double* cost, double tail_potential,
+                               const double* head_potential,
+                               double tail_distance, int tail, int64_t n,
+                               double* distance, double* key, int* parent,
+                               double* block_min);
+
+// ---------------------------------------------------------------------------
 // Per-block reducer table — the level-specific functions the drivers
 // loop over. Exposed so tests can pin every available level against the
 // per-pair path without touching the global dispatch override.
@@ -188,6 +212,8 @@ struct KernelTable {
                        double* dot8, double* norm8);
   void (*va_lower_bound)(const double* cell_table, int cells,
                          const uint8_t* sig_block, int dim, double* out8);
+  // Not a per-block reducer: the flow engine's whole-row relax (above).
+  RelaxRowFn relax_row;
 };
 
 // The reducers for `level`. Requesting kAvx2 when CpuSupportsAvx2() is
@@ -201,6 +227,11 @@ namespace internal {
 const KernelTable& ScalarKernels();
 // CHECK-fails when the binary was built without GEACC_HAVE_AVX2.
 const KernelTable& Avx2Kernels();
+// The scalar relax_row; the AVX2 one finishes its ragged tail with it.
+int64_t RelaxRowScalar(const double* cost, double tail_potential,
+                       const double* head_potential, double tail_distance,
+                       int tail, int64_t n, double* distance, double* key,
+                       int* parent, double* block_min);
 }  // namespace internal
 
 }  // namespace geacc::simd

@@ -149,6 +149,47 @@ void VaLowerBoundBlock(const double* cell_table, int cells,
   _mm256_storeu_pd(out8 + 4, acc1);
 }
 
+int64_t RelaxRow(const double* cost, double tail_potential,
+                 const double* head_potential, double tail_distance, int tail,
+                 int64_t n, double* distance, double* key, int* parent,
+                 double* block_min) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d eps = _mm256_set1_pd(1e-9);
+  const __m256d pt = _mm256_set1_pd(tail_potential);
+  const __m256d dt = _mm256_set1_pd(tail_distance);
+  int64_t relaxed = 0;
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    // max(0, r) is `0 > r ? 0 : r`: exactly the scalar clamp.
+    const __m256d reduced = _mm256_max_pd(
+        zero, _mm256_sub_pd(_mm256_add_pd(_mm256_loadu_pd(cost + i), pt),
+                            _mm256_loadu_pd(head_potential + i)));
+    const __m256d candidate = _mm256_add_pd(dt, reduced);
+    const __m256d old = _mm256_loadu_pd(distance + i);
+    const __m256d better =
+        _mm256_cmp_pd(_mm256_add_pd(candidate, eps), old, _CMP_LT_OQ);
+    int mask = _mm256_movemask_pd(better);
+    if (mask == 0) continue;
+    _mm256_storeu_pd(distance + i, _mm256_blendv_pd(old, candidate, better));
+    _mm256_storeu_pd(key + i, _mm256_blendv_pd(_mm256_loadu_pd(key + i),
+                                               candidate, better));
+    relaxed += __builtin_popcount(mask);
+    alignas(32) double lanes[4];
+    _mm256_store_pd(lanes, candidate);
+    double& low = block_min[i / kRelaxBlock];
+    for (; mask != 0; mask &= mask - 1) {
+      const int lane = __builtin_ctz(mask);
+      parent[i + lane] = tail;
+      low = lanes[lane] < low ? lanes[lane] : low;
+    }
+  }
+  // The ragged end (< 4 lanes, all in one block) goes element-wise.
+  return relaxed + RelaxRowScalar(cost + i, tail_potential,
+                                  head_potential + i, tail_distance, tail,
+                                  n - i, distance + i, key + i, parent + i,
+                                  block_min + i / kRelaxBlock);
+}
+
 }  // namespace
 
 const KernelTable& Avx2Kernels() {
@@ -160,6 +201,7 @@ const KernelTable& Avx2Kernels() {
       /*dot_norm=*/DotNormBlock,
       /*dot_norm_fma=*/DotNormBlockFma,
       /*va_lower_bound=*/VaLowerBoundBlock,
+      /*relax_row=*/RelaxRow,
   };
   return table;
 }

@@ -67,6 +67,27 @@ void VaLowerBoundBlock(const double* cell_table, int cells,
 
 }  // namespace
 
+int64_t RelaxRowScalar(const double* cost, double tail_potential,
+                       const double* head_potential, double tail_distance,
+                       int tail, int64_t n, double* distance, double* key,
+                       int* parent, double* block_min) {
+  int64_t relaxed = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    double reduced = (cost[i] + tail_potential) - head_potential[i];
+    if (reduced < 0.0) reduced = 0.0;
+    const double candidate = tail_distance + reduced;
+    if (candidate + 1e-9 < distance[i]) {
+      distance[i] = candidate;
+      key[i] = candidate;
+      parent[i] = tail;
+      double& low = block_min[i / kRelaxBlock];
+      if (candidate < low) low = candidate;
+      ++relaxed;
+    }
+  }
+  return relaxed;
+}
+
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       /*squared_distance=*/SquaredDistanceBlock,
@@ -76,6 +97,7 @@ const KernelTable& ScalarKernels() {
       /*dot_norm=*/DotNormBlock,
       /*dot_norm_fma=*/DotNormBlock,
       /*va_lower_bound=*/VaLowerBoundBlock,
+      /*relax_row=*/RelaxRowScalar,
   };
   return table;
 }

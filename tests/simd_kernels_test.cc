@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -326,6 +327,64 @@ TEST(BatchKernels, VaLowerBoundMatchesReferenceLoop) {
                              "/d" + std::to_string(dim) + "/row " +
                              std::to_string(i));
         }
+      }
+    }
+  }
+}
+
+// The flow engine's row relax: every level against the literal loop of
+// its contract, on rows that mix relaxing and non-relaxing lanes, used
+// (+inf) pairs, negative reduced costs clamped to 0 and exact ties, with
+// lengths that end mid-vector and mid-block.
+TEST(BatchKernels, RelaxRowMatchesReferenceLoop) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int n : {1, 3, 4, 31, 32, 33, 70, 200}) {
+    Rng rng(n);
+    std::vector<double> cost(n), head_potential(n), distance(n);
+    for (int i = 0; i < n; ++i) {
+      cost[i] = rng.Bernoulli(0.1) ? inf : 0.25 * rng.UniformInt(0, 4);
+      head_potential[i] = 0.25 * rng.UniformInt(0, 6);
+      distance[i] = rng.Bernoulli(0.3) ? inf : 0.25 * rng.UniformInt(0, 8);
+    }
+    const double tail_potential = 0.5;
+    const double tail_distance = 0.75;
+    const int blocks = (n + simd::kRelaxBlock - 1) / simd::kRelaxBlock;
+    // Reference: the contract's loop, element by element.
+    std::vector<double> want_distance = distance, want_key = distance;
+    std::vector<int> want_parent(n, -1);
+    std::vector<double> want_block(blocks, 9.0);
+    int64_t want_relaxed = 0;
+    for (int i = 0; i < n; ++i) {
+      double reduced = (cost[i] + tail_potential) - head_potential[i];
+      if (reduced < 0.0) reduced = 0.0;
+      const double candidate = tail_distance + reduced;
+      if (candidate + 1e-9 < want_distance[i]) {
+        want_distance[i] = want_key[i] = candidate;
+        want_parent[i] = 7;
+        double& low = want_block[i / simd::kRelaxBlock];
+        low = candidate < low ? candidate : low;
+        ++want_relaxed;
+      }
+    }
+    for (simd::Level level : AvailableLevels()) {
+      std::vector<double> got_distance = distance, got_key = distance;
+      std::vector<int> got_parent(n, -1);
+      std::vector<double> got_block(blocks, 9.0);
+      const int64_t relaxed = simd::GetKernels(level).relax_row(
+          cost.data(), tail_potential, head_potential.data(), tail_distance,
+          7, n, got_distance.data(), got_key.data(), got_parent.data(),
+          got_block.data());
+      const std::string where =
+          std::string("relax/") + simd::LevelName(level) + "/n" +
+          std::to_string(n);
+      EXPECT_EQ(relaxed, want_relaxed) << where;
+      EXPECT_EQ(got_parent, want_parent) << where;
+      for (int i = 0; i < n; ++i) {
+        ExpectBitEqual(got_distance[i], want_distance[i], where);
+        ExpectBitEqual(got_key[i], want_key[i], where);
+      }
+      for (int b = 0; b < blocks; ++b) {
+        ExpectBitEqual(got_block[b], want_block[b], where);
       }
     }
   }
